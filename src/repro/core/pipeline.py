@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
-from repro.core import blocking, filtering, meta_blocking, purging
+from repro.core import blocking, filtering, meta_blocking, purging, weights
 from repro.core.clusterer import cluster_entities
 from repro.core.profiles import load_clean_clean
 from repro.core.tokens import tokenize
@@ -56,6 +57,19 @@ class BlockerConfig:
     token_min_len: int = 2
     manual_clusters: dict[str, int] | None = field(default=None)
 
+    def __post_init__(self) -> None:
+        def check(ok: bool, name: str, want: str) -> None:
+            if not ok:
+                raise ValueError(f"BlockerConfig.{name}={getattr(self, name)!r}: {want}")
+
+        check(self.weight_scheme in weights.SCHEMES, "weight_scheme", f"pick one of {weights.SCHEMES}")
+        check(self.pruning in meta_blocking.PRUNINGS, "pruning", f"pick one of {meta_blocking.PRUNINGS}")
+        check(0 <= self.lsh_threshold <= 1, "lsh_threshold", "must be in [0, 1]")
+        check(1 <= self.rows_per_band <= self.num_hashes, "rows_per_band", "must be in [1, num_hashes]")
+        check(0 < self.purge_max_frac <= 1, "purge_max_frac", "must be in (0, 1]")
+        check(0 < self.filter_ratio <= 1, "filter_ratio", "must be in (0, 1]")
+        check(self.cnp_k >= 1, "cnp_k", "must be >= 1")
+
 
 def run_blocker(
     spark: SparkSession,
@@ -70,8 +84,15 @@ def run_blocker(
     else the post-filtering comparisons).
     """
     profiles = _mat(load_clean_clean(source_a, source_b))
+    n_profiles, n_pid_sources = profiles.agg(
+        F.countDistinct("pid"), F.countDistinct("pid", "source")
+    ).first()
+    if n_profiles != n_pid_sources:
+        raise ValueError(
+            f"{n_pid_sources - n_profiles} profile id(s) occur in both sources; "
+            "clean-clean ER needs ids unique across the two sources"
+        )
     tokens = _mat(tokenize(profiles, min_len=cfg.token_min_len))
-    n_profiles = profiles.select("pid").distinct().count()
 
     attr_clusters = entropies = None
     if cfg.loose_schema:

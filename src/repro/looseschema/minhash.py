@@ -1,9 +1,14 @@
-"""MinHash + LSH banding substrate, pure DataFrame implementation.
+"""MinHash signatures in Spark, LSH banding on the driver.
 
 Used by loose-schema attribute partitioning: each attribute is represented
 by the set of tokens occurring in its values; MinHash signatures estimate
 Jaccard similarity between attributes, and LSH banding proposes candidate
 attribute pairs without the quadratic all-pairs comparison.
+
+The signatures are one Spark aggregate over the ``(item, token)`` rows.
+The ``items × num_hashes`` signature matrix grows only with the number of
+items (attributes), so it is collected once and banding, candidate pairs
+and similarity estimates run in numpy on the driver.
 
 Hash family: ``h_i(t) = (a_i * x + b_i) mod P`` over
 ``x = xxhash64(token) mod P``, with ``a_i, b_i`` drawn from a seeded
@@ -19,6 +24,7 @@ UDFs on the hot path.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -60,53 +66,39 @@ def signatures(
     )
 
 
-def band_buckets(sigs: DataFrame, *, rows_per_band: int = 2) -> DataFrame:
-    """LSH banding: ``(item, band, bucket)`` where items sharing a bucket in
-    any band are candidate pairs. The bucket key concatenates the band's
-    min-hashes in hash-id order."""
-    banded = sigs.withColumn("band", (F.col("hash_id") / rows_per_band).cast("int"))
-    return banded.groupBy("item", "band").agg(
-        F.xxhash64(
-            F.concat_ws(
-                ",",
-                F.transform(
-                    F.array_sort(
-                        F.collect_list(F.struct("hash_id", "min_hash"))
-                    ),
-                    lambda s: s["min_hash"].cast("string"),
-                ),
-            )
-        ).alias("bucket")
-    )
+def signature_matrix(sigs: DataFrame) -> tuple[list[str], np.ndarray]:
+    """Collect :func:`signatures` to the driver as ``(items, matrix)``:
+    items sorted by name, ``matrix[i, h]`` item ``i``'s min-hash under hash
+    function ``h`` (int64, ``items × num_hashes``)."""
+    pdf = sigs.select("item", "hash_id", "min_hash").toPandas().sort_values(["item", "hash_id"])
+    items = pdf["item"].unique().tolist()
+    return items, pdf["min_hash"].to_numpy(np.int64).reshape(len(items), pdf["hash_id"].nunique())
 
 
-def candidate_pairs(buckets: DataFrame) -> DataFrame:
-    """Distinct unordered item pairs co-occurring in some (band, bucket)."""
-    l, r = buckets.alias("l"), buckets.alias("r")
-    return (
-        l.join(
-            r,
-            (F.col("l.band") == F.col("r.band"))
-            & (F.col("l.bucket") == F.col("r.bucket"))
-            & (F.col("l.item") < F.col("r.item")),
-        )
-        .select(F.col("l.item").alias("item1"), F.col("r.item").alias("item2"))
-        .distinct()
-    )
+def band_buckets(sig: np.ndarray, *, rows_per_band: int = 2) -> np.ndarray:
+    """LSH banding: ``buckets[i, b]`` is item ``i``'s bucket in band ``b``,
+    which holds hash ids ``b * rows_per_band`` up to the next band. Two
+    items share a bucket exactly when their min-hashes agree on the band."""
+    return np.column_stack([
+        np.unique(sig[:, start:start + rows_per_band], axis=0, return_inverse=True)[1].ravel()
+        for start in range(0, sig.shape[1], rows_per_band)
+    ])
 
 
-def estimated_similarity(sigs: DataFrame, pairs: DataFrame) -> DataFrame:
-    """Estimate Jaccard for each candidate pair as the fraction of matching
-    signature positions — ``(item1, item2, sim)``."""
-    s1 = sigs.select(
-        F.col("item").alias("item1"), "hash_id", F.col("min_hash").alias("h1")
-    )
-    s2 = sigs.select(
-        F.col("item").alias("item2"), "hash_id", F.col("min_hash").alias("h2")
-    )
-    return (
-        pairs.join(s1, "item1")
-        .join(s2, ["item2", "hash_id"])
-        .groupBy("item1", "item2")
-        .agg(F.avg((F.col("h1") == F.col("h2")).cast("double")).alias("sim"))
-    )
+def candidate_pairs(buckets: np.ndarray) -> np.ndarray:
+    """Distinct item-index pairs ``(i, j)``, ``i < j``, sharing a bucket in
+    some band; shape ``(k, 2)``, sorted."""
+    n, n_bands = buckets.shape
+    # One key per (band, bucket): bucket ids are < n within each band.
+    rows = pd.DataFrame({
+        "key": (buckets + np.arange(n_bands) * n).ravel(),
+        "item": np.repeat(np.arange(n), n_bands),
+    })
+    pairs = rows.merge(rows, on="key")[["item_x", "item_y"]].to_numpy(np.int64)
+    return np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+
+
+def estimated_similarity(sig: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Estimated Jaccard of each item-index pair: the fraction of hash
+    functions on which the two signatures agree."""
+    return (sig[pairs[:, 0]] == sig[pairs[:, 1]]).mean(axis=1)

@@ -7,28 +7,65 @@ Pipeline, as described in the paper:
 2. Candidate attribute pairs get a similarity estimate; **for each
    attribute only the most similar partner is kept** (if it clears the
    threshold), yielding attribute pairs.
-3. The transitive closure of those pairs (via the connected-components
-   substrate) partitions attributes into non-overlapping clusters.
+3. The transitive closure of those pairs partitions attributes into
+   non-overlapping clusters.
 4. Attributes in no cluster fall into the **blob** partition, cluster 0.
+
+Only the MinHash signatures run in Spark: attributes are far fewer than
+profiles, so the rest runs in numpy on the collected signature matrix (a
+union-find computes the closure).
 
 A ``manual`` override lets the demo's supervised mode (Figure 6c) replace
 the learned partition with a user-drawn one.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
-from repro.graph.connected_components import connected_components
 from repro.looseschema import minhash
 
 BLOB_CLUSTER = 0
+PARTITION_SCHEMA = "attribute string, cluster int"
 
 
 def attribute_tokens(tokens: DataFrame) -> DataFrame:
     """Distinct ``(attribute, token)`` pairs — each attribute's token set."""
     return tokens.select("attribute", "token").distinct()
+
+
+def best_partners(pairs: np.ndarray, sim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(node, partner)`` arrays: each node of the undirected ``pairs``
+    with its most similar partner, ties going to the larger partner index."""
+    node = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    partner = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((partner, np.concatenate([sim, sim]), node))
+    node, partner = node[order], partner[order]
+    last = np.r_[node[1:] != node[:-1], True][:len(node)]
+    return node[last], partner[last]
+
+
+def cluster_ids(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected components of the edges ``src[k] — dst[k]`` over nodes
+    ``0..n-1`` as dense ids 1..k, numbered in order of each component's
+    smallest node; nodes on no edge get :data:`BLOB_CLUSTER`."""
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(src.tolist(), dst.tolist()):
+        ra, rb = root(a), root(b)
+        parent[max(ra, rb)] = min(ra, rb)  # the root stays the smallest node
+    roots = np.array([root(x) for x in range(n)], dtype=np.int64)
+    linked = np.zeros(n, dtype=bool)
+    linked[src] = linked[dst] = True
+    ids = np.searchsorted(np.unique(roots[linked]), roots) + 1
+    return np.where(linked, ids, BLOB_CLUSTER)
 
 
 def partition_attributes(
@@ -42,77 +79,24 @@ def partition_attributes(
     """Learn the attribute partition; returns ``(attribute, cluster)``.
 
     Every attribute present in ``tokens`` appears in the output exactly
-    once; cluster ids are 1..k for learned clusters and 0 for the blob.
-    A ``threshold`` of 1.0 degenerates to schema-agnostic blocking: no
-    estimated similarity clears it, so everything lands in the blob.
+    once; cluster ids are 1..k for learned clusters (ordered by their
+    smallest attribute name) and 0 for the blob. A ``threshold`` of 1.0
+    degenerates to schema-agnostic blocking: no estimated similarity clears
+    it, so everything lands in the blob.
     """
-    at = attribute_tokens(tokens)
-    all_attrs = at.select(F.col("attribute")).distinct()
-
     sigs = minhash.signatures(
-        at, item_col="attribute", token_col="token",
+        attribute_tokens(tokens), item_col="attribute", token_col="token",
         num_hashes=num_hashes, seed=seed,
     )
-    cands = minhash.candidate_pairs(
-        minhash.band_buckets(sigs, rows_per_band=rows_per_band)
+    attrs, sig = minhash.signature_matrix(sigs)
+    pairs = minhash.candidate_pairs(
+        minhash.band_buckets(sig, rows_per_band=rows_per_band)
     )
-    sims = minhash.estimated_similarity(sigs, cands).where(
-        F.col("sim") >= threshold
-    )
-
-    # Keep, for each attribute, only its single most similar partner
-    # (ties broken by partner name for determinism).
-    directed = sims.unionByName(
-        sims.select(
-            F.col("item2").alias("item1"),
-            F.col("item1").alias("item2"),
-            "sim",
-        )
-    )
-    best = (
-        directed.groupBy("item1")
-        .agg(F.max_by("item2", F.struct("sim", "item2")).alias("item2"))
-        .select("item1", "item2")
-    )
-
-    if best.isEmpty():
-        return all_attrs.withColumn("cluster", F.lit(BLOB_CLUSTER))
-
-    # Transitive closure over the kept pairs; components need numeric node
-    # ids, so index the attribute names first.
-    idx = (
-        all_attrs.orderBy("attribute")
-        .withColumn("attr_id", F.row_number().over(
-            Window.orderBy("attribute")
-        ))
-    )
-    e = (
-        best.join(idx.withColumnRenamed("attribute", "item1"), "item1")
-        .withColumnRenamed("attr_id", "src")
-        .join(
-            idx.select(F.col("attribute").alias("item2"), F.col("attr_id").alias("dst")),
-            "item2",
-        )
-        .select("src", "dst")
-    )
-    comp = connected_components(e)
-    clustered = (
-        idx.join(comp, idx["attr_id"] == comp["node"])
-        .select("attribute", "component")
-    )
-    # Re-number components densely as 1..k.
-    dense = (
-        clustered.select("component")
-        .distinct()
-        .orderBy("component")
-        .withColumn("cluster", F.row_number().over(
-            Window.orderBy("component")
-        ))
-    )
-    clustered = clustered.join(dense, "component").select("attribute", "cluster")
-    return clustered.unionByName(
-        all_attrs.join(clustered, "attribute", "left_anti")
-        .withColumn("cluster", F.lit(BLOB_CLUSTER))
+    sim = minhash.estimated_similarity(sig, pairs)
+    keep = sim >= threshold
+    clusters = cluster_ids(len(attrs), *best_partners(pairs[keep], sim[keep]))
+    return tokens.sparkSession.createDataFrame(
+        list(zip(attrs, clusters.tolist())), PARTITION_SCHEMA
     )
 
 
@@ -127,7 +111,7 @@ def manual_partition(
     (use ids >= 1; unlisted attributes fall into the blob).
     """
     mapping = spark.createDataFrame(
-        [(k, int(v)) for k, v in clusters.items()], ["attribute", "cluster"]
+        [(k, int(v)) for k, v in clusters.items()], PARTITION_SCHEMA
     )
     all_attrs = attributes.select("attribute").distinct()
     assigned = all_attrs.join(mapping, "attribute")

@@ -9,43 +9,21 @@ such tools use, with DataFrame joins (no per-pair UDF loops):
     lev_norm  -- normalized Levenshtein similarity of a designated
                  "name-like" attribute (Spark's built-in ``levenshtein``)
 
-``add_similarities`` decorates a candidate-pair DataFrame with all three.
+``add_similarities`` decorates a candidate-pair DataFrame with all three;
+the two token measures come from one join of the pairs with the TF-IDF
+token table.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.tokens import profile_token_sets
 
-
-def jaccard(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
-    """``(p1, p2, jaccard)`` over the distinct token sets of each profile."""
-    ts = profile_token_sets(tokens)
-    sizes = ts.groupBy("pid").agg(F.count(F.lit(1)).alias("n"))
-    t1 = ts.select(F.col("pid").alias("p1"), "token")
-    t2 = ts.select(F.col("pid").alias("p2"), "token")
-    inter = (
-        pairs.join(t1, "p1")
-        .join(t2, ["p2", "token"])
-        .groupBy("p1", "p2")
-        .agg(F.count(F.lit(1)).alias("inter"))
-    )
-    return (
-        pairs.join(inter, ["p1", "p2"], "left")
-        .fillna({"inter": 0})
-        .join(sizes.select(F.col("pid").alias("p1"), F.col("n").alias("n1")), "p1")
-        .join(sizes.select(F.col("pid").alias("p2"), F.col("n").alias("n2")), "p2")
-        .select(
-            "p1",
-            "p2",
-            (F.col("inter") / (F.col("n1") + F.col("n2") - F.col("inter"))).alias("jaccard"),
-        )
-    )
-
-
-def cosine_tfidf(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
-    """``(p1, p2, cosine)`` over TF-IDF vectors.
+def _token_similarities(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
+    """``(p1, p2, jaccard, cosine)``: Jaccard of the distinct token sets
+    and cosine of the TF-IDF vectors, from one join of the pairs with a
+    ``(pid, token, w)`` table and one aggregate of ``inter`` (shared
+    tokens) and ``dot``.
 
     TF counts each token once per (profile, attribute) — the tokenizer's
     granularity; IDF = ln(N / df) over profiles. Profiles sharing no token
@@ -57,23 +35,26 @@ def cosine_tfidf(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
     vec = tf.join(df, "token").select(
         "pid", "token", (F.col("tf") * F.log(F.lit(float(n_profiles)) / F.col("df"))).alias("w")
     )
-    norms = vec.groupBy("pid").agg(F.sqrt(F.sum(F.col("w") ** 2)).alias("norm"))
+    stats = vec.groupBy("pid").agg(
+        F.count(F.lit(1)).alias("n"), F.sqrt(F.sum(F.col("w") ** 2)).alias("norm")
+    )
     v1 = vec.select(F.col("pid").alias("p1"), "token", F.col("w").alias("w1"))
     v2 = vec.select(F.col("pid").alias("p2"), "token", F.col("w").alias("w2"))
-    dots = (
+    shared = (
         pairs.join(v1, "p1")
         .join(v2, ["p2", "token"])
         .groupBy("p1", "p2")
-        .agg(F.sum(F.col("w1") * F.col("w2")).alias("dot"))
+        .agg(F.count(F.lit(1)).alias("inter"), F.sum(F.col("w1") * F.col("w2")).alias("dot"))
     )
     return (
-        pairs.join(dots, ["p1", "p2"], "left")
-        .fillna({"dot": 0.0})
-        .join(norms.select(F.col("pid").alias("p1"), F.col("norm").alias("norm1")), "p1")
-        .join(norms.select(F.col("pid").alias("p2"), F.col("norm").alias("norm2")), "p2")
+        pairs.join(shared, ["p1", "p2"], "left")
+        .fillna({"inter": 0, "dot": 0.0})
+        .join(stats.toDF("p1", "n1", "norm1"), "p1")
+        .join(stats.toDF("p2", "n2", "norm2"), "p2")
         .select(
             "p1",
             "p2",
+            (F.col("inter") / (F.col("n1") + F.col("n2") - F.col("inter"))).alias("jaccard"),
             F.when(
                 (F.col("norm1") > 0) & (F.col("norm2") > 0),
                 F.col("dot") / (F.col("norm1") * F.col("norm2")),
@@ -82,6 +63,16 @@ def cosine_tfidf(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
             .alias("cosine"),
         )
     )
+
+
+def jaccard(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
+    """``(p1, p2, jaccard)`` over the distinct token sets of each profile."""
+    return _token_similarities(pairs, tokens).select("p1", "p2", "jaccard")
+
+
+def cosine_tfidf(pairs: DataFrame, tokens: DataFrame) -> DataFrame:
+    """``(p1, p2, cosine)`` over TF-IDF vectors (see :func:`_token_similarities`)."""
+    return _token_similarities(pairs, tokens).select("p1", "p2", "cosine")
 
 
 def name_values(profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
@@ -102,8 +93,8 @@ def name_values(profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
 
 
 def levenshtein_norm(pairs: DataFrame, profiles: DataFrame, name_attrs: list[str]) -> DataFrame:
-    """``(p1, p2, lev_norm)`` — 1 − editdistance/maxlen on the name strings;
-    0 when a side has no name value."""
+    """``pairs`` plus ``lev_norm`` — 1 − editdistance/maxlen on the name
+    strings; 0 when a side has no name value."""
     names = name_values(profiles, name_attrs)
     n1 = names.select(F.col("pid").alias("p1"), F.col("name").alias("name1"))
     n2 = names.select(F.col("pid").alias("p2"), F.col("name").alias("name2"))
@@ -111,8 +102,7 @@ def levenshtein_norm(pairs: DataFrame, profiles: DataFrame, name_attrs: list[str
         pairs.join(n1, "p1", "left")
         .join(n2, "p2", "left")
         .select(
-            "p1",
-            "p2",
+            *pairs.columns,
             F.when(
                 F.col("name1").isNotNull() & F.col("name2").isNotNull(),
                 1.0
@@ -134,8 +124,4 @@ def add_similarities(
 ) -> DataFrame:
     """Candidate pairs decorated with all three features."""
     p = pairs.select("p1", "p2").distinct()
-    return (
-        p.join(jaccard(p, tokens), ["p1", "p2"])
-        .join(cosine_tfidf(p, tokens), ["p1", "p2"])
-        .join(levenshtein_norm(p, profiles, name_attrs), ["p1", "p2"])
-    )
+    return levenshtein_norm(_token_similarities(p, tokens), profiles, name_attrs)

@@ -1,7 +1,7 @@
 """Tests for the MinHash/LSH substrate."""
 import itertools
 
-import pandas as pd
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
@@ -74,56 +74,96 @@ class TestSignatures:
         assert n > 200  # 256 hash ids, near-all distinct values
 
 
+@pytest.fixture(scope="module")
+def matrix(sigs):
+    """``(index of item name, signature matrix)`` collected to the driver."""
+    items, sig = minhash.signature_matrix(sigs)
+    return {item: i for i, item in enumerate(items)}, sig
+
+
+def _named_pairs(matrix, pairs) -> set[tuple[str, str]]:
+    names = sorted(matrix[0], key=matrix[0].get)
+    return {(names[i], names[j]) for i, j in pairs.tolist()}
+
+
+class TestSignatureMatrix:
+    def test_shape_and_sorted_items(self, sigs, word_sets):
+        items, sig = minhash.signature_matrix(sigs)
+        assert items == sorted(word_sets)
+        assert sig.shape == (len(word_sets), 256)
+
+    def test_matches_signature_rows(self, sigs, matrix):
+        index, sig = matrix
+        for r in sigs.collect():
+            assert sig[index[r["item"]], r["hash_id"]] == r["min_hash"]
+
+
 class TestEstimation:
-    def test_estimates_track_exact(self, sigs, spark, word_sets):
+    def test_estimates_track_exact(self, matrix, word_sets):
+        index, sig = matrix
         exact = _exact_jaccard(word_sets)
-        pairs = spark.createDataFrame(list(exact), ["item1", "item2"])
-        est = {
-            (r["item1"], r["item2"]): r["sim"]
-            for r in minhash.estimated_similarity(sigs, pairs).collect()
-        }
-        for pair, j in exact.items():
-            assert est[pair] == pytest.approx(j, abs=0.09), pair
+        pairs = np.array([(index[a], index[b]) for a, b in exact])
+        est = minhash.estimated_similarity(sig, pairs)
+        for (pair, j), e in zip(exact.items(), est):
+            assert e == pytest.approx(j, abs=0.09), pair
 
-    def test_identical_estimates_one(self, sigs, spark):
-        pairs = spark.createDataFrame([("high_a", "identical")], ["item1", "item2"])
-        [row] = minhash.estimated_similarity(sigs, pairs).collect()
-        assert row["sim"] == 1.0
+    def test_identical_estimates_one(self, matrix):
+        index, sig = matrix
+        pairs = np.array([(index["high_a"], index["identical"])])
+        assert minhash.estimated_similarity(sig, pairs).tolist() == [1.0]
 
-    def test_disjoint_estimates_zero(self, sigs, spark):
-        pairs = spark.createDataFrame([("disjoint", "high_a")], ["item1", "item2"])
-        [row] = minhash.estimated_similarity(sigs, pairs).collect()
-        assert row["sim"] < 0.05
+    def test_disjoint_estimates_zero(self, matrix):
+        index, sig = matrix
+        pairs = np.array([(index["disjoint"], index["high_a"])])
+        assert minhash.estimated_similarity(sig, pairs)[0] < 0.05
 
 
 class TestBanding:
-    def test_bucket_count(self, sigs, word_sets):
-        buckets = minhash.band_buckets(sigs, rows_per_band=2)
-        assert buckets.count() == len(word_sets) * 128  # 256/2 bands
+    def test_bucket_count(self, matrix, word_sets):
+        buckets = minhash.band_buckets(matrix[1], rows_per_band=2)
+        assert buckets.shape == (len(word_sets), 128)  # 256/2 bands
 
-    def test_similar_pairs_proposed(self, sigs):
-        pairs = {
-            tuple(sorted((r["item1"], r["item2"])))
-            for r in minhash.candidate_pairs(
-                minhash.band_buckets(sigs, rows_per_band=2)
-            ).collect()
+    def test_buckets_equal_iff_band_equal(self):
+        sig = np.array([[1, 2, 3], [1, 2, 4], [1, 5, 3]])
+        buckets = minhash.band_buckets(sig, rows_per_band=2)
+        # Bands {0, 1} and {2}: the last band may be short.
+        assert buckets.shape == (3, 2)
+        assert buckets[0, 0] == buckets[1, 0] != buckets[2, 0]
+        assert buckets[0, 1] == buckets[2, 1] != buckets[1, 1]
+
+    def test_candidates_match_brute_force(self):
+        g = np.random.default_rng(0)
+        sig = g.integers(0, 3, (9, 12))
+        brute = {
+            (i, j)
+            for i, j in itertools.combinations(range(len(sig)), 2)
+            for s in range(0, sig.shape[1], 3)
+            if (sig[i, s:s + 3] == sig[j, s:s + 3]).all()
         }
+        got = minhash.candidate_pairs(minhash.band_buckets(sig, rows_per_band=3))
+        assert brute and set(map(tuple, got.tolist())) == brute
+
+    def test_similar_pairs_proposed(self, matrix):
+        pairs = _named_pairs(
+            matrix, minhash.candidate_pairs(minhash.band_buckets(matrix[1], rows_per_band=2))
+        )
         assert ("high_a", "high_b") in pairs
         assert ("high_a", "identical") in pairs
 
-    def test_disjoint_pairs_not_proposed(self, sigs):
-        pairs = {
-            tuple(sorted((r["item1"], r["item2"])))
-            for r in minhash.candidate_pairs(
-                minhash.band_buckets(sigs, rows_per_band=4)
-            ).collect()
-        }
+    def test_disjoint_pairs_not_proposed(self, matrix):
+        pairs = _named_pairs(
+            matrix, minhash.candidate_pairs(minhash.band_buckets(matrix[1], rows_per_band=4))
+        )
         assert all("disjoint" not in p for p in pairs)
 
-    def test_pairs_are_ordered_and_distinct(self, sigs):
-        cands = minhash.candidate_pairs(minhash.band_buckets(sigs))
-        assert cands.where(F.col("item1") >= F.col("item2")).count() == 0
-        assert cands.count() == cands.distinct().count()
+    def test_pairs_are_ordered_and_distinct(self, matrix):
+        cands = minhash.candidate_pairs(minhash.band_buckets(matrix[1]))
+        assert len(cands) and (cands[:, 0] < cands[:, 1]).all()
+        assert len(np.unique(cands, axis=0)) == len(cands)
+
+    def test_no_items_no_pairs(self):
+        empty = np.zeros((0, 8), dtype=np.int64)
+        assert minhash.candidate_pairs(minhash.band_buckets(empty)).shape == (0, 2)
 
 
 class TestCoefficients:

@@ -1,10 +1,15 @@
 """Tests for loose-schema attribute partitioning."""
+import uuid
+
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.looseschema.partitioning import (
     BLOB_CLUSTER,
     attribute_tokens,
+    best_partners,
+    cluster_ids,
     manual_partition,
     partition_attributes,
 )
@@ -94,6 +99,53 @@ class TestOnDataset:
         assert c["2.descr"] == c["2.title"]
 
 
+class TestDriverSteps:
+    def test_best_partner_ties_go_to_larger_partner(self):
+        node, partner = best_partners(np.array([[0, 1], [0, 2]]), np.array([0.5, 0.5]))
+        assert dict(zip(node.tolist(), partner.tolist())) == {0: 2, 1: 0, 2: 0}
+
+    def test_best_partner_prefers_higher_similarity(self):
+        node, partner = best_partners(np.array([[0, 1], [0, 2]]), np.array([0.9, 0.5]))
+        assert dict(zip(node.tolist(), partner.tolist())) == {0: 1, 1: 0, 2: 0}
+
+    def test_cluster_ids_dense_in_order_of_smallest_member(self):
+        ids = cluster_ids(7, np.array([5, 1, 6]), np.array([4, 3, 5]))
+        assert ids.tolist() == [BLOB_CLUSTER, 1, BLOB_CLUSTER, 1, 2, 2, 2]
+
+
+# Partition of the test dataset at each threshold, as produced by the
+# Spark LSH joins + connected-components implementation this one replaced.
+PINNED = {
+    0.1: {"1.description": 1, "1.name": 1, "1.price": 2, "2.cost": 2,
+          "2.descr": 1, "2.manufacturer": 1, "2.title": 1},
+    0.3: {"1.description": 1, "1.name": 1, "1.price": 2, "2.cost": 2,
+          "2.descr": 1, "2.manufacturer": 0, "2.title": 1},
+    0.5: {"1.description": 0, "1.name": 1, "1.price": 2, "2.cost": 2,
+          "2.descr": 0, "2.manufacturer": 0, "2.title": 1},
+    1.0: {"1.description": 0, "1.name": 0, "1.price": 0, "2.cost": 0,
+          "2.descr": 0, "2.manufacturer": 0, "2.title": 0},
+}
+
+
+@pytest.mark.parametrize("threshold", sorted(PINNED))
+def test_partition_pinned_on_dataset(tokens, threshold):
+    p = partition_attributes(tokens, threshold=threshold)
+    assert p.schema.simpleString() == "struct<attribute:string,cluster:int>"
+    assert {r["attribute"]: r["cluster"] for r in p.collect()} == PINNED[threshold]
+
+
+def test_partition_runs_few_spark_jobs(spark, tokens):
+    """Only the MinHash aggregate runs in Spark; the rest is driver-side."""
+    sc = spark.sparkContext
+    group = f"partition-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "partition_attributes job count")
+    try:
+        partition_attributes(tokens).collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert 1 <= len(sc.statusTracker().getJobIdsForGroup(group)) <= 4
+
+
 class TestManualPartition:
     def test_assignment_and_blob_default(self, spark, toy_tokens):
         p = manual_partition(
@@ -108,6 +160,13 @@ class TestManualPartition:
         p = manual_partition(spark, toy_tokens.select("attribute"), {"1.name": 5})
         n_attrs = toy_tokens.select("attribute").distinct().count()
         assert p.count() == n_attrs
+
+    def test_empty_mapping_puts_everything_in_blob(self, spark, toy_tokens):
+        p = manual_partition(spark, toy_tokens.select("attribute"), {})
+        assert p.schema.simpleString() == "struct<attribute:string,cluster:int>"
+        n_attrs = toy_tokens.select("attribute").distinct().count()
+        assert p.count() == n_attrs
+        assert {r["cluster"] for r in p.collect()} == {BLOB_CLUSTER}
 
     def test_unknown_attribute_in_map_is_ignored(self, spark, toy_tokens):
         p = manual_partition(

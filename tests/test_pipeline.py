@@ -121,3 +121,33 @@ class TestDemoShapeSmallScale:
 
     def test_auto_preserves_recall(self, sweep):
         assert sweep["auto"].recall > sweep["blob"].recall - 0.02
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weight_scheme", "nope"),
+            ("pruning", "nope"),
+            ("lsh_threshold", 1.5),
+            ("rows_per_band", 0),
+            ("purge_max_frac", 0.0),
+            ("filter_ratio", 1.5),
+            ("cnp_k", 0),
+        ],
+    )
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"BlockerConfig.{field}="):
+            BlockerConfig(**{field: value})
+
+    def test_rows_per_band_bounded_by_num_hashes(self):
+        with pytest.raises(ValueError, match="rows_per_band"):
+            BlockerConfig(num_hashes=8, rows_per_band=9)
+
+    def test_overlapping_ids_rejected(self, spark):
+        import pandas as pd
+
+        a = spark.createDataFrame(pd.DataFrame({"id": [1, 2], "name": ["x y", "z w"]}))
+        b = spark.createDataFrame(pd.DataFrame({"id": [2, 3], "title": ["x y", "z w"]}))
+        with pytest.raises(ValueError, match="1 profile id"):
+            run_blocker(spark, a, b, BlockerConfig(loose_schema=False, run_meta_blocking=False))
